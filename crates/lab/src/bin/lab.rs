@@ -29,8 +29,9 @@
 //! lab perf --bench BENCH_simnet.json --update-baseline
 //! ```
 
+use std::ops::Range;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
 use validity_lab::json::Json;
@@ -40,11 +41,10 @@ use validity_lab::perf::{
 use validity_lab::trend::{compare, BenchArtifact, BenchSuite};
 use validity_lab::{
     compare_emitted, hottest_by_events, merge, observe_json, observe_markdown, profile_markdown,
-    run_crosscheck, run_mutate, run_service, suites, timeline_for, AgreementLevel,
-    CrosscheckMatrix, CrosscheckTiming, FitAxis, FitMeasure, MutateMatrix, PartialReport,
-    ProtocolAxis, SamplingSpec, ScenarioMatrix, ScheduleSpec, ServiceMatrix, ServiceTiming,
-    ShardSpec, SweepEngine, SweepReport, ValiditySpec, CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA,
-    PARTIAL_SCHEMA_V1, REPORT_SCHEMA,
+    run_crosscheck, run_mutate, run_service, suites, timeline_for, worker_count, AgreementLevel,
+    CrosscheckMatrix, FitAxis, FitMeasure, MutateMatrix, PartialReport, ProtocolAxis, SamplingSpec,
+    ScenarioMatrix, ScheduleSpec, ServiceMatrix, ShardSpec, SweepEngine, SweepReport, ValiditySpec,
+    CATALOGUED_EQUIVALENT, PARTIAL_SCHEMA, PARTIAL_SCHEMA_V1, REPORT_SCHEMA,
 };
 use validity_protocols::{vector_registry, MutationOp};
 
@@ -193,23 +193,37 @@ const RUN_FLAGS: [&str; 18] = [
 /// Flags that take no value.
 const RUN_SWITCHES: [&str; 4] = ["--dry-run", "--adaptive", "--timing", "--observe"];
 
-/// Rejects misspelled or unknown options instead of silently falling back
-/// to defaults (a sweep that quietly measures the wrong scenario is worse
-/// than an error).
-fn check_flags(rest: &[&str]) -> Result<(), String> {
+/// The `lab run` flags that build a custom matrix. A `--suite` fixes its
+/// own axes, so these are refused next to it rather than ignored.
+const CUSTOM_MATRIX_FLAGS: [&str; 8] = [
+    "--protocols",
+    "--validities",
+    "--behaviors",
+    "--schedules",
+    "--systems",
+    "--faults",
+    "--seeds",
+    "--fits",
+];
+
+/// Rejects misspelled or unknown options — anything outside a subcommand's
+/// value-taking `flags` and its `switches` — instead of silently falling
+/// back to defaults (a sweep that quietly measures the wrong scenario is
+/// worse than an error).
+fn check_flags(rest: &[&str], flags: &[&str], switches: &[&str]) -> Result<(), String> {
     let mut i = 0;
     while i < rest.len() {
         let arg = rest[i];
         if arg.starts_with("--") {
-            if RUN_SWITCHES.contains(&arg) {
+            if switches.contains(&arg) {
                 i += 1;
                 continue;
             }
-            if !RUN_FLAGS.contains(&arg) {
+            if !flags.contains(&arg) {
                 return Err(format!(
                     "unknown option '{arg}'; known: {} {}",
-                    RUN_FLAGS.join(" "),
-                    RUN_SWITCHES.join(" ")
+                    flags.join(" "),
+                    switches.join(" ")
                 ));
             }
             if i + 1 >= rest.len() {
@@ -238,6 +252,22 @@ fn parse_list<T>(
         .filter(|s| !s.is_empty())
         .map(|s| parse(s).ok_or_else(|| format!("unknown {what}: '{s}'")))
         .collect()
+}
+
+/// Parses a `--seeds a..b` range. An empty range (`b <= a`) is refused: a
+/// sweep over no seeds runs no cells and would pass every gate vacuously.
+fn parse_seeds(text: &str) -> Result<Range<u64>, String> {
+    let (lo, hi) = text
+        .split_once("..")
+        .ok_or_else(|| format!("bad seed range: '{text}' (want a..b)"))?;
+    let lo: u64 = lo.parse().map_err(|_| format!("bad seed: '{lo}'"))?;
+    let hi: u64 = hi.parse().map_err(|_| format!("bad seed: '{hi}'"))?;
+    if hi <= lo {
+        return Err(format!(
+            "empty seed range: '{text}' runs no seeds (want a..b with a < b)"
+        ));
+    }
+    Ok(lo..hi)
 }
 
 fn build_custom(rest: &[&str]) -> Result<ScenarioMatrix, String> {
@@ -286,12 +316,7 @@ fn build_custom(rest: &[&str]) -> Result<ScenarioMatrix, String> {
             ))
         })
         .collect::<Result<Vec<(usize, usize)>, String>>()?;
-    let seeds = opt_value(rest, "--seeds").unwrap_or("0..4");
-    let (lo, hi) = seeds
-        .split_once("..")
-        .ok_or_else(|| format!("bad seed range: '{seeds}' (want a..b)"))?;
-    m.seeds = lo.parse().map_err(|_| format!("bad seed: '{lo}'"))?
-        ..hi.parse().map_err(|_| format!("bad seed: '{hi}'"))?;
+    m.seeds = parse_seeds(opt_value(rest, "--seeds").unwrap_or("0..4"))?;
     m.fit_measures = parse_list(
         opt_value(rest, "--fits").unwrap_or(""),
         "fit measure",
@@ -369,9 +394,18 @@ fn run(rest: &[&str]) -> ExitCode {
     if opt_value(rest, "--suite") == Some("mutate") {
         return mutate_cmd(rest);
     }
-    if let Err(e) = check_flags(rest) {
+    if let Err(e) = check_flags(rest, &RUN_FLAGS, &RUN_SWITCHES) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
+    }
+    if rest.contains(&"--suite") {
+        if let Some(flag) = CUSTOM_MATRIX_FLAGS.iter().find(|f| rest.contains(f)) {
+            eprintln!(
+                "{flag} is not available with --suite: a suite fixes its own axes; \
+                 drop --suite to sweep a custom matrix"
+            );
+            return ExitCode::FAILURE;
+        }
     }
     let threads: usize = match opt_value(rest, "--threads").map(str::parse) {
         None => 0,
@@ -702,30 +736,9 @@ fn service_cmd(rest: &[&str]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i];
-        if SERVICE_SWITCHES.contains(&arg) {
-            i += 1;
-            continue;
-        }
-        if !arg.starts_with("--") {
-            eprintln!("unexpected argument '{arg}'");
-            return ExitCode::FAILURE;
-        }
-        if !SERVICE_FLAGS.contains(&arg) {
-            eprintln!(
-                "unknown option '{arg}'; known: {} {}",
-                SERVICE_FLAGS.join(" "),
-                SERVICE_SWITCHES.join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        if i + 1 >= rest.len() {
-            eprintln!("option '{arg}' wants a value");
-            return ExitCode::FAILURE;
-        }
-        i += 2;
+    if let Err(e) = check_flags(rest, &SERVICE_FLAGS, &SERVICE_SWITCHES) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
     if let Some(name) = opt_value(rest, "--suite") {
         if name != "service" {
@@ -743,13 +756,10 @@ fn service_cmd(rest: &[&str]) -> ExitCode {
     };
     let mut matrix = ServiceMatrix::suite();
     if let Some(seeds) = opt_value(rest, "--seeds") {
-        let parsed = seeds
-            .split_once("..")
-            .and_then(|(lo, hi)| Some(lo.parse::<u64>().ok()?..hi.parse::<u64>().ok()?));
-        match parsed {
-            Some(range) => matrix.seeds = range,
-            None => {
-                eprintln!("bad seed range: '{seeds}' (want a..b)");
+        match parse_seeds(seeds) {
+            Ok(range) => matrix.seeds = range,
+            Err(e) => {
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -793,11 +803,7 @@ fn service_cmd(rest: &[&str]) -> ExitCode {
         "service '{}': {} cells on {} worker thread(s)...",
         matrix.name,
         matrix.len(),
-        if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |w| w.get())
-        } else {
-            threads
-        },
+        worker_count(threads),
     );
     let (report, wall, timings) = run_service(&matrix, threads);
     eprintln!(
@@ -812,7 +818,13 @@ fn service_cmd(rest: &[&str]) -> ExitCode {
     let mut markdown = report.to_markdown();
     if rest.contains(&"--timing") {
         markdown.push('\n');
-        markdown.push_str(&service_timing_markdown(&timings));
+        markdown.push_str(&cell_timing_markdown(
+            report
+                .cells
+                .iter()
+                .map(|(key, _)| key.as_str())
+                .zip(timings),
+        ));
     }
     if let Err(e) = std::fs::write(json_path, report.to_json()) {
         eprintln!("cannot write {json_path}: {e}");
@@ -831,16 +843,17 @@ fn service_cmd(rest: &[&str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--timing` appendix of `lab service`: per-cell wall clock, slowest
-/// first. Diagnostic only — wall time never enters the JSON report.
-fn service_timing_markdown(timings: &[ServiceTiming]) -> String {
+/// The `--timing` appendix of `lab service` and `lab crosscheck`: per-cell
+/// wall clock, slowest first. Diagnostic only — wall time never enters the
+/// JSON report.
+fn cell_timing_markdown<'a>(cells: impl Iterator<Item = (&'a str, Duration)>) -> String {
     use std::fmt::Write;
-    let mut rows: Vec<&ServiceTiming> = timings.iter().collect();
-    rows.sort_by(|a, b| b.wall.cmp(&a.wall).then_with(|| a.label.cmp(&b.label)));
+    let mut rows: Vec<(&str, Duration)> = cells.collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     let mut out =
         String::from("## Cell timing (wall clock, slowest first)\n\n| cell | ms |\n|---|---|\n");
-    for t in rows {
-        let _ = writeln!(out, "| {} | {:.3} |", t.label, t.wall.as_secs_f64() * 1e3);
+    for (label, wall) in rows {
+        let _ = writeln!(out, "| {label} | {:.3} |", wall.as_secs_f64() * 1e3);
     }
     out
 }
@@ -944,30 +957,9 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i];
-        if CROSSCHECK_SWITCHES.contains(&arg) {
-            i += 1;
-            continue;
-        }
-        if !arg.starts_with("--") {
-            eprintln!("unexpected argument '{arg}'");
-            return ExitCode::FAILURE;
-        }
-        if !CROSSCHECK_FLAGS.contains(&arg) {
-            eprintln!(
-                "unknown option '{arg}'; known: {} {}",
-                CROSSCHECK_FLAGS.join(" "),
-                CROSSCHECK_SWITCHES.join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        if i + 1 >= rest.len() {
-            eprintln!("option '{arg}' wants a value");
-            return ExitCode::FAILURE;
-        }
-        i += 2;
+    if let Err(e) = check_flags(rest, &CROSSCHECK_FLAGS, &CROSSCHECK_SWITCHES) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
     if let Some(name) = opt_value(rest, "--suite") {
         if name != "crosscheck" {
@@ -1000,13 +992,10 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
         CrosscheckMatrix::suite()
     };
     if let Some(seeds) = opt_value(rest, "--seeds") {
-        let parsed = seeds
-            .split_once("..")
-            .and_then(|(lo, hi)| Some(lo.parse::<u64>().ok()?..hi.parse::<u64>().ok()?));
-        match parsed {
-            Some(range) => matrix.seeds = range,
-            None => {
-                eprintln!("bad seed range: '{seeds}' (want a..b)");
+        match parse_seeds(seeds) {
+            Ok(range) => matrix.seeds = range,
+            Err(e) => {
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -1034,11 +1023,7 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
         matrix.name,
         matrix.len(),
         matrix.engines.len(),
-        if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |w| w.get())
-        } else {
-            threads
-        },
+        worker_count(threads),
     );
     let (report, wall, timings) = run_crosscheck(&matrix, threads);
     let full = report.count(AgreementLevel::Full);
@@ -1059,7 +1044,9 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
     let emitter_mismatches = compare_emitted(&json, &markdown);
     if rest.contains(&"--timing") {
         markdown.push('\n');
-        markdown.push_str(&crosscheck_timing_markdown(&timings));
+        markdown.push_str(&cell_timing_markdown(
+            report.cells.iter().map(|c| c.key.as_str()).zip(timings),
+        ));
     }
     let json_path = opt_value(rest, "--json").unwrap_or("lab-crosscheck.json");
     let md_path = opt_value(rest, "--md").unwrap_or("lab-crosscheck.md");
@@ -1100,20 +1087,6 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--timing` appendix of `lab crosscheck`: per-cell wall clock,
-/// slowest first. Diagnostic only — wall time never enters the report.
-fn crosscheck_timing_markdown(timings: &[CrosscheckTiming]) -> String {
-    use std::fmt::Write;
-    let mut rows: Vec<&CrosscheckTiming> = timings.iter().collect();
-    rows.sort_by(|a, b| b.wall.cmp(&a.wall).then_with(|| a.label.cmp(&b.label)));
-    let mut out =
-        String::from("## Cell timing (wall clock, slowest first)\n\n| cell | ms |\n|---|---|\n");
-    for t in rows {
-        let _ = writeln!(out, "| {} | {:.3} |", t.label, t.wall.as_secs_f64() * 1e3);
-    }
-    out
-}
-
 /// Every value-taking flag `lab mutate` understands (`--suite` is
 /// accepted so `lab run --suite mutate` can delegate here).
 const MUTATE_FLAGS: [&str; 7] = [
@@ -1137,30 +1110,9 @@ const MUTATE_SWITCHES: [&str; 1] = ["--dry-run"];
 /// survivor, or a stale catalogue entry. Bytes are deterministic and
 /// thread-count independent, like every other lab artifact.
 fn mutate_cmd(rest: &[&str]) -> ExitCode {
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i];
-        if MUTATE_SWITCHES.contains(&arg) {
-            i += 1;
-            continue;
-        }
-        if !arg.starts_with("--") {
-            eprintln!("unexpected argument '{arg}'");
-            return ExitCode::FAILURE;
-        }
-        if !MUTATE_FLAGS.contains(&arg) {
-            eprintln!(
-                "unknown option '{arg}'; known: {} {}",
-                MUTATE_FLAGS.join(" "),
-                MUTATE_SWITCHES.join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        if i + 1 >= rest.len() {
-            eprintln!("option '{arg}' wants a value");
-            return ExitCode::FAILURE;
-        }
-        i += 2;
+    if let Err(e) = check_flags(rest, &MUTATE_FLAGS, &MUTATE_SWITCHES) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
     if let Some(name) = opt_value(rest, "--suite") {
         if name != "mutate" {
@@ -1199,13 +1151,10 @@ fn mutate_cmd(rest: &[&str]) -> ExitCode {
         }
     }
     if let Some(seeds) = opt_value(rest, "--seeds") {
-        let parsed = seeds
-            .split_once("..")
-            .and_then(|(lo, hi)| Some(lo.parse::<u64>().ok()?..hi.parse::<u64>().ok()?));
-        match parsed {
-            Some(range) => matrix.grid.seeds = range,
-            None => {
-                eprintln!("bad seed range: '{seeds}' (want a..b)");
+        match parse_seeds(seeds) {
+            Ok(range) => matrix.grid.seeds = range,
+            Err(e) => {
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -1236,11 +1185,7 @@ fn mutate_cmd(rest: &[&str]) -> ExitCode {
         matrix.grid.len(),
         matrix.grid.engines.len(),
         matrix.mutants().len(),
-        if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |w| w.get())
-        } else {
-            threads
-        },
+        worker_count(threads),
     );
     let (report, wall) = run_mutate(&matrix, threads);
     eprintln!(

@@ -24,10 +24,9 @@
 //!   ([`Classification::consistent_with_run`]). Every such cell is a
 //!   potential bug and is named individually in the report.
 //!
-//! The executor is the same deterministic worker-pool shape as
-//! [`crate::service::run_service`]: cells fan out over threads, results
-//! collect in matrix order, and the `crosscheck@1` artifact is
-//! byte-identical across worker counts. On top of the engine columns, the
+//! Cells fan out over the lab's one worker pool,
+//! [`crate::executor::par_map`]: results collect in matrix order, and the
+//! `crosscheck@1` artifact is byte-identical across worker counts. On top of the engine columns, the
 //! two *emitters* are cross-checked too: [`compare_emitted`] re-parses the
 //! JSON and Markdown renderings of the same report and diffs the agreement
 //! levels they claim, so a drifting emitter fails the `lab crosscheck`
@@ -36,14 +35,13 @@
 //! [`Applicability`]: validity_protocols::registry::Applicability
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
 use validity_core::{classify, Classification, Domain, SystemParams};
 use validity_protocols::registry::{vector_registry, VectorSpec};
 
+use crate::executor::par_map;
 use crate::json::Json;
 use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScenarioMatrix, ScheduleSpec, ValiditySpec};
 use crate::report::json_str;
@@ -732,67 +730,25 @@ pub fn compare_emitted(json: &str, md: &str) -> Vec<String> {
     problems
 }
 
-/// Per-cell wall timing of a crosscheck sweep (diagnostic only — never
-/// part of the report).
-#[derive(Clone, Debug)]
-pub struct CrosscheckTiming {
-    /// The cell key.
-    pub label: String,
-    /// Wall-clock time the cell (all its columns) took.
-    pub wall: Duration,
-}
-
-/// Runs a crosscheck matrix on `threads` workers (0 = one per core) and
-/// collects in matrix order — report bytes are independent of the worker
-/// count, exactly like every other lab artifact.
+/// Runs a crosscheck matrix on `threads` workers (0 = one per core) through
+/// [`par_map`] and collects in matrix order — report bytes are independent
+/// of the worker count, exactly like every other lab artifact. The third
+/// element is each cell's wall time (diagnostic only — never part of the
+/// report), aligned with `report.cells`.
 pub fn run_crosscheck(
     matrix: &CrosscheckMatrix,
     threads: usize,
-) -> (CrosscheckReport, Duration, Vec<CrosscheckTiming>) {
+) -> (CrosscheckReport, Duration, Vec<Duration>) {
     let started = Instant::now();
-    let cells = matrix.cells();
-    let n = cells.len();
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |w| w.get())
-    } else {
-        threads
-    }
-    .min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(CrosscheckRecord, Duration)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cell_started = Instant::now();
-                let record =
-                    execute_crosscheck(&cells[i], &matrix.engines, matrix.domain, matrix.max_steps);
-                *slots[i].lock().expect("result slot poisoned") =
-                    Some((record, cell_started.elapsed()));
-            });
-        }
-    });
-    let mut records = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (cell, slot) in cells.into_iter().zip(slots) {
-        let (record, wall) = slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("worker pool exited with an unfilled slot");
-        timings.push(CrosscheckTiming {
-            label: cell.key(),
-            wall,
-        });
-        records.push(record);
-    }
+    let (cells, timings) = par_map(&matrix.cells(), threads, |cell| {
+        execute_crosscheck(cell, &matrix.engines, matrix.domain, matrix.max_steps)
+    })
+    .into_iter()
+    .unzip();
     let report = CrosscheckReport {
         name: matrix.name.clone(),
         engines: matrix.engines.iter().map(|e| e.name()).collect(),
-        cells: records,
+        cells,
     };
     (report, started.elapsed(), timings)
 }

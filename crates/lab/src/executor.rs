@@ -1,12 +1,15 @@
-//! The multi-threaded sweep executor.
+//! The multi-threaded executor: one ordered worker pool for the whole lab.
 //!
 //! Simulations are deterministic, independent, and CPU-bound, so a sweep is
-//! embarrassingly parallel: workers pull cell indices from a shared atomic
-//! counter and write results into the cell's pre-allocated slot. Results are
-//! then read back **in matrix order**, which makes every downstream artifact
+//! embarrassingly parallel. [`par_map`] is the lab's only worker pool —
+//! scenario sweeps, service sweeps, the crosscheck oracle, and the mutate
+//! kill matrix all fan out through it: workers pull item indices from a
+//! shared atomic cursor (so one slow item never holds up the rest) and
+//! write each result into the item's pre-allocated slot. Results are then
+//! read back **in item order**, which makes every downstream artifact
 //! (aggregation, JSON, Markdown) independent of the worker count and of
 //! scheduling noise — run the same matrix on 1 thread or 16 and the report
-//! bytes are identical. The executor's only nondeterministic observable is
+//! bytes are identical. The pool's only nondeterministic observable is
 //! wall-clock time, which is reported separately and never enters reports.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,17 +142,103 @@ fn record_adversary_notes(record: &CellRecord) -> (u64, u64) {
     }
 }
 
+/// The worker count a `threads` request resolves to: `0` means one worker
+/// per available core.
+pub fn worker_count(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+}
+
+/// Maps `f` over `items` on up to `threads` workers (`0` = one per core)
+/// and returns each result with its wall time, **in item order**.
+///
+/// Workers pull the next index from a shared atomic cursor, so items of
+/// wildly different cost (a stalled mutant burning its whole step budget
+/// next to a 4-node cell that decides in a few hundred events) balance
+/// dynamically. The order of the returned `Vec` never depends on the
+/// worker count or on scheduling — only the durations do.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<(R, Duration)> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<(R, Duration)>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..worker_count(threads).min(items.len()) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    break;
+                };
+                let started = Instant::now();
+                let result = f(item);
+                *slots[i].lock().expect("result slot poisoned") = Some((result, started.elapsed()));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("worker pool exited with an unfilled slot")
+        })
+        .collect()
+}
+
+/// What [`SweepEngine::execute_cells`] and [`SweepEngine::execute_units`]
+/// hand back: the ordered records, the wall clock of the whole call, and
+/// one timing row (plus, when observing, one observation) per cell or unit.
+type Executed = (
+    Vec<CellRecord>,
+    Duration,
+    Vec<CellTiming>,
+    Vec<CellObservation>,
+);
+
+/// What one cell or work unit yields inside the pool: its label, its
+/// records (one cell, or a whole adaptive seed ladder), and its probe
+/// metrics when observing.
+type ItemRun = (String, Vec<CellRecord>, Option<Metrics>);
+
+/// Flattens ordered pool results into [`Executed`], timed from `started`.
+fn gather(started: Instant, results: Vec<(ItemRun, Duration)>) -> Executed {
+    let mut records = Vec::with_capacity(results.len());
+    let mut timings = Vec::with_capacity(results.len());
+    let mut observed = Vec::new();
+    for ((label, item_records, metrics), wall) in results {
+        timings.push(CellTiming {
+            label: label.clone(),
+            events: item_records.iter().map(record_events).sum(),
+            wall,
+        });
+        if let Some(metrics) = metrics {
+            let (equivocations, omissions) = item_records
+                .iter()
+                .map(record_adversary_notes)
+                .fold((0, 0), |(e, o), (de, dol)| (e + de, o + dol));
+            observed.push(CellObservation {
+                label,
+                metrics,
+                equivocations,
+                omissions,
+            });
+        }
+        records.extend(item_records);
+    }
+    (records, started.elapsed(), timings, observed)
+}
+
 impl SweepEngine {
     /// Creates an engine with the given worker count; `0` means one worker
     /// per available core.
     pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
         SweepEngine {
-            threads,
+            threads: worker_count(threads),
             observe: false,
         }
     }
@@ -178,26 +267,7 @@ impl SweepEngine {
     /// ([`ScenarioMatrix::sampling`]) run the per-group seed ladder
     /// instead of the fixed seed range.
     pub fn execute(&self, matrix: &ScenarioMatrix) -> SweepRun {
-        if matrix.sampling.is_some() {
-            let units = matrix.work_units();
-            let (records, wall, timings, observed) = self.execute_units(matrix, &units);
-            return SweepRun {
-                records,
-                threads: self.threads,
-                wall,
-                timings,
-                observed,
-            };
-        }
-        let cells = matrix.cells();
-        let (records, wall, timings, observed) = self.execute_cells(&cells, matrix.max_steps);
-        SweepRun {
-            records,
-            threads: self.threads,
-            wall,
-            timings,
-            observed,
-        }
+        self.execute_shard(matrix, ShardSpec::full())
     }
 
     /// Executes one shard of `matrix` (see [`crate::matrix::ShardSpec`]):
@@ -215,19 +285,11 @@ impl SweepEngine {
     /// exactly the stopping point the unsharded run would — no
     /// coordination, same bytes.
     pub fn execute_shard(&self, matrix: &ScenarioMatrix, shard: ShardSpec) -> SweepRun {
-        if matrix.sampling.is_some() {
-            let units = matrix.shard_units(shard);
-            let (records, wall, timings, observed) = self.execute_units(matrix, &units);
-            return SweepRun {
-                records,
-                threads: self.threads,
-                wall,
-                timings,
-                observed,
-            };
-        }
-        let cells = matrix.shard_cells(shard);
-        let (records, wall, timings, observed) = self.execute_cells(&cells, matrix.max_steps);
+        let (records, wall, timings, observed) = if matrix.sampling.is_some() {
+            self.execute_units(matrix, &matrix.shard_units(shard))
+        } else {
+            self.execute_cells(&matrix.shard_cells(shard), matrix.max_steps)
+        };
         SweepRun {
             records,
             threads: self.threads,
@@ -240,69 +302,21 @@ impl SweepEngine {
     /// Executes a pre-enumerated cell list (used by `execute` and by the
     /// regression tests that compare worker counts). `max_steps` is the
     /// per-cell step budget; over-budget cells come back quarantined.
-    pub fn execute_cells(
-        &self,
-        cells: &[CellSpec],
-        max_steps: Option<u64>,
-    ) -> (
-        Vec<CellRecord>,
-        Duration,
-        Vec<CellTiming>,
-        Vec<CellObservation>,
-    ) {
+    pub fn execute_cells(&self, cells: &[CellSpec], max_steps: Option<u64>) -> Executed {
         let started = Instant::now();
-        let n = cells.len();
-        let next = AtomicUsize::new(0);
-        type CellSlot = Mutex<Option<(CellRecord, Duration, Option<Metrics>)>>;
-        let slots: Vec<CellSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let workers = self.threads.min(n.max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let cell_started = Instant::now();
-                    let (record, metrics) = match (&cells[i], self.observe) {
-                        (CellSpec::Run(c), true) => {
-                            let ctx = GroupContext::new(c, max_steps);
-                            let probe = Metrics::new(ctx.round_width());
-                            let (record, m) = execute_run_with_probe(&ctx, c.seed, probe);
-                            (record, Some(m))
-                        }
-                        _ => (execute_with_budget(&cells[i], max_steps), None),
-                    };
-                    *slots[i].lock().expect("result slot poisoned") =
-                        Some((record, cell_started.elapsed(), metrics));
-                });
-            }
+        let results = par_map(cells, self.threads, |cell| {
+            let (record, metrics) = match (cell, self.observe) {
+                (CellSpec::Run(c), true) => {
+                    let ctx = GroupContext::new(c, max_steps);
+                    let probe = Metrics::new(ctx.round_width());
+                    let (record, m) = execute_run_with_probe(&ctx, c.seed, probe);
+                    (record, Some(m))
+                }
+                _ => (execute_with_budget(cell, max_steps), None),
+            };
+            (record.key.clone(), vec![record], metrics)
         });
-        let mut records = Vec::with_capacity(n);
-        let mut timings = Vec::with_capacity(n);
-        let mut observed = Vec::new();
-        for s in slots {
-            let (record, wall, metrics) = s
-                .into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool exited with an unfilled slot");
-            timings.push(CellTiming {
-                label: record.key.clone(),
-                events: record_events(&record),
-                wall,
-            });
-            if let Some(metrics) = metrics {
-                let (equivocations, omissions) = record_adversary_notes(&record);
-                observed.push(CellObservation {
-                    label: record.key.clone(),
-                    metrics,
-                    equivocations,
-                    omissions,
-                });
-            }
-            records.push(record);
-        }
-        (records, started.elapsed(), timings, observed)
+        gather(started, results)
     }
 
     /// Executes a pre-enumerated work-unit list under the matrix's
@@ -311,99 +325,43 @@ impl SweepEngine {
     /// pool; results are read back in unit order (then seed order within
     /// a group), so the flattened record list is independent of the
     /// worker count.
-    pub fn execute_units(
-        &self,
-        matrix: &ScenarioMatrix,
-        units: &[WorkUnit],
-    ) -> (
-        Vec<CellRecord>,
-        Duration,
-        Vec<CellTiming>,
-        Vec<CellObservation>,
-    ) {
+    pub fn execute_units(&self, matrix: &ScenarioMatrix, units: &[WorkUnit]) -> Executed {
         let spec = matrix
             .sampling
             .expect("execute_units requires an adaptive matrix");
         let started = Instant::now();
-        let n = units.len();
-        let next = AtomicUsize::new(0);
-        type UnitSlot = Mutex<Option<(Vec<CellRecord>, Duration, Option<Metrics>)>>;
-        let slots: Vec<UnitSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let workers = self.threads.min(n.max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let unit_started = Instant::now();
-                    let (records, metrics) = match &units[i] {
-                        WorkUnit::Classify(c) => (
-                            vec![execute_with_budget(
-                                &CellSpec::Classify(*c),
-                                matrix.max_steps,
-                            )],
-                            None,
-                        ),
-                        WorkUnit::Group(template) if self.observe => {
-                            let (records, m) = run_adaptive_group_observed(
-                                template,
-                                &spec,
-                                &matrix.fit_measures,
-                                matrix.seeds.start,
-                                matrix.max_steps,
-                            );
-                            (records, Some(m))
-                        }
-                        WorkUnit::Group(template) => (
-                            run_adaptive_group(
-                                template,
-                                &spec,
-                                &matrix.fit_measures,
-                                matrix.seeds.start,
-                                matrix.max_steps,
-                            ),
-                            None,
-                        ),
-                    };
-                    *slots[i].lock().expect("result slot poisoned") =
-                        Some((records, unit_started.elapsed(), metrics));
-                });
+        let results = par_map(units, self.threads, |unit| match unit {
+            WorkUnit::Classify(c) => (
+                c.key(),
+                vec![execute_with_budget(
+                    &CellSpec::Classify(*c),
+                    matrix.max_steps,
+                )],
+                None,
+            ),
+            WorkUnit::Group(template) if self.observe => {
+                let (records, m) = run_adaptive_group_observed(
+                    template,
+                    &spec,
+                    &matrix.fit_measures,
+                    matrix.seeds.start,
+                    matrix.max_steps,
+                );
+                (template.group_key(), records, Some(m))
             }
+            WorkUnit::Group(template) => (
+                template.group_key(),
+                run_adaptive_group(
+                    template,
+                    &spec,
+                    &matrix.fit_measures,
+                    matrix.seeds.start,
+                    matrix.max_steps,
+                ),
+                None,
+            ),
         });
-        let mut records = Vec::new();
-        let mut timings = Vec::with_capacity(n);
-        let mut observed = Vec::new();
-        for (slot, unit) in slots.into_iter().zip(units) {
-            let (unit_records, wall, metrics) = slot
-                .into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool exited with an unfilled slot");
-            let label = match unit {
-                WorkUnit::Classify(c) => c.key(),
-                WorkUnit::Group(template) => template.group_key(),
-            };
-            timings.push(CellTiming {
-                label: label.clone(),
-                events: unit_records.iter().map(record_events).sum(),
-                wall,
-            });
-            if let Some(metrics) = metrics {
-                let (equivocations, omissions) = unit_records
-                    .iter()
-                    .map(record_adversary_notes)
-                    .fold((0, 0), |(e, o), (de, dol)| (e + de, o + dol));
-                observed.push(CellObservation {
-                    label,
-                    metrics,
-                    equivocations,
-                    omissions,
-                });
-            }
-            records.extend(unit_records);
-        }
-        (records, started.elapsed(), timings, observed)
+        gather(started, results)
     }
 
     /// Executes `matrix` and aggregates into a [`SweepReport`] (fit groups
@@ -525,9 +483,33 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_means_available_parallelism() {
-        assert!(SweepEngine::new(0).threads() >= 1);
+    fn worker_count_zero_means_one_per_core() {
+        assert!(worker_count(0) >= 1);
+        assert_eq!(worker_count(3), 3);
+        assert_eq!(SweepEngine::new(0).threads(), worker_count(0));
         assert_eq!(SweepEngine::new(3).threads(), 3);
+    }
+
+    #[test]
+    fn par_map_returns_results_in_item_order() {
+        assert!(par_map(&[] as &[usize], 4, |&x| x).is_empty());
+        // More workers than items, and each item waits for every later
+        // item to finish first: completion order is the exact reverse of
+        // item order, yet the results come back in item order.
+        let items: Vec<usize> = (0..5).collect();
+        let finished = (Mutex::new(0usize), std::sync::Condvar::new());
+        let out = par_map(&items, 16, |&i| {
+            let (count, turn) = &finished;
+            let guard = count.lock().expect("counter poisoned");
+            let mut done = turn
+                .wait_while(guard, |done| *done != items.len() - 1 - i)
+                .expect("counter poisoned");
+            *done += 1;
+            turn.notify_all();
+            i * 10
+        });
+        let values: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, vec![0, 10, 20, 30, 40]);
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!   `(n, t)`, and seed — plus a grid of solvability-classification cells.
 //!   Enumeration order is deterministic, and incompatible combinations
 //!   (e.g. `Universal` with a property that violates `C_S`) are skipped.
-//! * **[`SweepEngine`]** (module [`executor`]) — a worker pool fanning the
-//!   cells out across threads. Simulations are deterministic and
-//!   independent, so the sweep is embarrassingly parallel; results are
-//!   collected *in matrix order*, making every report byte-for-byte
-//!   independent of the worker count.
+//! * **[`SweepEngine`]** (module [`executor`]) — fans the cells out across
+//!   threads through [`par_map`], the one ordered worker pool that the
+//!   sweep, service, crosscheck and mutate drivers share. Simulations are
+//!   deterministic and independent, so the sweep is embarrassingly
+//!   parallel; results are collected *in item order*, making every report
+//!   byte-for-byte independent of the worker count.
 //! * **[`SweepReport`]** (module [`report`]) — per-configuration
 //!   aggregation (decision latency, message/word complexity, safety and
 //!   validity violations) with JSON and Markdown emitters.
@@ -97,10 +98,12 @@ pub mod trend;
 
 pub use crosscheck::{
     classifier_in_band, compare_emitted, execute_crosscheck, grade, run_crosscheck, AgreementLevel,
-    CrosscheckCell, CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, CrosscheckTiming,
-    EngineColumn, EngineOutcome, EngineVerdict, CLASSIFIER_CONFIG_BUDGET, CROSSCHECK_SCHEMA,
+    CrosscheckCell, CrosscheckMatrix, CrosscheckRecord, CrosscheckReport, EngineColumn,
+    EngineOutcome, EngineVerdict, CLASSIFIER_CONFIG_BUDGET, CROSSCHECK_SCHEMA,
 };
-pub use executor::{run_adaptive_group, timing_markdown, CellTiming, SweepEngine, SweepRun};
+pub use executor::{
+    par_map, run_adaptive_group, timing_markdown, worker_count, CellTiming, SweepEngine, SweepRun,
+};
 pub use fit::{fit_exponent, try_fit_exponent, PowerFit};
 pub use matrix::{
     CellSpec, ClassifyCell, FitAxis, FitBand, FitMeasure, ProtocolAxis, RunCell, SamplingSpec,
@@ -123,6 +126,6 @@ pub use runner::{execute, execute_with_budget, CellRecord, ClassifyRecord, Outco
 pub use sampling::GroupSampling;
 pub use service::{
     execute_service, run_service, ServiceCell, ServiceGroup, ServiceMatrix, ServiceRecord,
-    ServiceReport, ServiceTiming, SERVICE_SCHEMA,
+    ServiceReport, SERVICE_SCHEMA,
 };
 pub use trend::{compare, BenchArtifact, BenchFit, BenchSuite, TrendDiff, BENCH_SCHEMA};

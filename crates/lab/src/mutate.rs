@@ -28,14 +28,11 @@
 //! zero disagreements: a *false kill* would mean the harness convicts
 //! healthy engines, which voids the whole matrix.
 //!
-//! The executor is the same deterministic worker-pool shape as
-//! [`crate::crosscheck::run_crosscheck`]: every `(cell × column)` run
-//! fans out over threads, results collect in matrix order, and the
+//! Every `(cell × column)` run fans out over the lab's one worker pool,
+//! [`crate::executor::par_map`]: results collect in matrix order, and the
 //! `mutate@1` artifact is byte-identical across worker counts. Base
 //! columns are executed once and shared by every mutant's grading.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
@@ -43,9 +40,10 @@ use validity_core::{classify, Classification, Domain, SystemParams};
 use validity_protocols::{mutant_spec, MutationOp, VectorSpec};
 
 use crate::crosscheck::{
-    classifier_in_band, grade, AgreementLevel, CrosscheckMatrix, EngineColumn, EngineOutcome,
-    EngineVerdict,
+    classifier_in_band, grade, AgreementLevel, CrosscheckCell, CrosscheckMatrix, EngineColumn,
+    EngineOutcome, EngineVerdict,
 };
+use crate::executor::par_map;
 use crate::matrix::{CellSpec, ProtocolAxis, RunCell, ScheduleSpec, ValiditySpec};
 use crate::report::json_str;
 use crate::runner::{execute_with_budget, Outcome};
@@ -381,11 +379,7 @@ struct ColumnRun {
 
 /// Runs one engine (base or mutant) on one cell, `Universal`-wrapped like
 /// every crosscheck column.
-fn run_column(
-    cell: &crate::crosscheck::CrosscheckCell,
-    engine: VectorSpec,
-    max_steps: Option<u64>,
-) -> ColumnRun {
+fn run_column(cell: &CrosscheckCell, engine: VectorSpec, max_steps: Option<u64>) -> ColumnRun {
     if !engine.applicable_to(cell.n, cell.t) {
         return ColumnRun {
             outcome: EngineOutcome::Skipped,
@@ -420,7 +414,7 @@ fn run_column(
 /// Grades one mutant against the shared base columns over the whole grid.
 /// Returns the first conviction in cell order, or [`Fate::Survived`].
 fn judge(
-    cells: &[crate::crosscheck::CrosscheckCell],
+    cells: &[CrosscheckCell],
     classifiers: &[Option<Classification<u64>>],
     engine_names: &[&'static str],
     base_runs: &[Vec<ColumnRun>],
@@ -481,11 +475,11 @@ fn judge(
 
 /// Runs the full kill matrix over `threads` workers (0 = all cores).
 ///
-/// Deterministic: every `(cell × column)` simulation is independent, work
-/// fans out through the same atomic-cursor pool as
-/// [`crate::crosscheck::run_crosscheck`], results land in preallocated
-/// slots, and grading walks them in matrix order — the report bytes never
-/// depend on the worker count.
+/// Deterministic: every `(cell × column)` simulation is independent, the
+/// flat job list fans out through [`par_map`] (whose atomic cursor keeps
+/// the budget-burning stalled mutants from serializing the rest), results
+/// come back in job order, and grading walks them in matrix order — the
+/// report bytes never depend on the worker count.
 pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Duration) {
     let started = Instant::now();
     let cells = matrix.grid.cells();
@@ -498,45 +492,17 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
         .copied()
         .chain(mutants.iter().map(|&(_, _, spec)| spec))
         .collect();
-    let total = cells.len() * columns.len();
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |w| w.get())
-    } else {
-        threads
-    }
-    .min(total.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ColumnRun>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= total {
-                    break;
-                }
-                let run = run_column(
-                    &cells[k / columns.len()],
-                    columns[k % columns.len()],
-                    matrix.grid.max_steps,
-                );
-                *slots[k].lock().expect("result slot poisoned") = Some(run);
-            });
-        }
-    });
-    let mut runs: Vec<Vec<ColumnRun>> = Vec::with_capacity(cells.len());
-    let mut iter = slots.into_iter();
-    for _ in 0..cells.len() {
-        runs.push(
-            iter.by_ref()
-                .take(columns.len())
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("worker pool exited with an unfilled slot")
-                })
-                .collect(),
-        );
-    }
+    let jobs: Vec<(&CrosscheckCell, VectorSpec)> = cells
+        .iter()
+        .flat_map(|cell| columns.iter().map(move |&column| (cell, column)))
+        .collect();
+    let flat: Vec<ColumnRun> = par_map(&jobs, threads, |&(cell, column)| {
+        run_column(cell, column, matrix.grid.max_steps)
+    })
+    .into_iter()
+    .map(|(run, _)| run)
+    .collect();
+    let runs: Vec<&[ColumnRun]> = flat.chunks(columns.len()).collect();
     let bases = matrix.grid.engines.len();
     let base_runs: Vec<Vec<ColumnRun>> = runs.iter().map(|row| row[..bases].to_vec()).collect();
     // Classifier column, once per cell (cheap at grid sizes).

@@ -16,15 +16,13 @@
 //! * **amortized message cost** — messages (and words) per committed
 //!   decision, the quantity the batching knob is supposed to shrink.
 //!
-//! The executor mirrors [`crate::executor::SweepEngine`]: cells fan out
-//! over a worker pool, results are collected in matrix order, and the
-//! report is a deterministic rendering of deterministic runs — the
+//! Cells fan out over the lab's one worker pool,
+//! [`crate::executor::par_map`], results are collected in matrix order,
+//! and the report is a deterministic rendering of deterministic runs — the
 //! `service` suite carries the same byte-identity guarantee as every
 //! other lab artifact.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
@@ -33,6 +31,7 @@ use validity_protocols::registry::{find_vector, ProtocolContext, VectorMachine, 
 use validity_protocols::service::{batch_proposal, Replicated, ServiceConfig};
 use validity_simnet::{agreement_holds, Hist, Multiplex, NodeKind, RunOutcome, Time};
 
+use crate::executor::par_map;
 use crate::matrix::ScheduleSpec;
 use crate::report::json_str;
 
@@ -521,63 +520,22 @@ fn centi(x: u64) -> String {
     format!("{}.{:02}", x / 100, x % 100)
 }
 
-/// Per-cell wall timing of a service sweep (diagnostic only — never part
-/// of the report).
-#[derive(Clone, Debug)]
-pub struct ServiceTiming {
-    /// The cell key.
-    pub label: String,
-    /// Wall-clock time the cell took.
-    pub wall: Duration,
-}
-
-/// Runs a service matrix on `threads` workers (0 = one per core) and
-/// aggregates in matrix order — the report bytes are independent of the
-/// worker count, exactly like the scenario sweep engine.
+/// Runs a service matrix on `threads` workers (0 = one per core) through
+/// [`par_map`] and aggregates in matrix order — the report bytes are
+/// independent of the worker count, exactly like the scenario sweep
+/// engine. The third element is each cell's wall time (diagnostic only —
+/// never part of the report), aligned with `report.cells`.
 pub fn run_service(
     matrix: &ServiceMatrix,
     threads: usize,
-) -> (ServiceReport, Duration, Vec<ServiceTiming>) {
+) -> (ServiceReport, Duration, Vec<Duration>) {
     let started = Instant::now();
     let cells = matrix.cells();
-    let n = cells.len();
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |w| w.get())
-    } else {
-        threads
-    }
-    .min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(ServiceRecord, Duration)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cell_started = Instant::now();
-                let record = execute_service(&cells[i]);
-                *slots[i].lock().expect("result slot poisoned") =
-                    Some((record, cell_started.elapsed()));
-            });
-        }
-    });
-    let mut records = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (cell, slot) in cells.into_iter().zip(slots) {
-        let (record, wall) = slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("worker pool exited with an unfilled slot");
-        timings.push(ServiceTiming {
-            label: cell.key(),
-            wall,
-        });
-        records.push((cell, record));
-    }
-    let report = ServiceReport::build(&matrix.name, records);
+    let (records, timings): (Vec<ServiceRecord>, Vec<Duration>) =
+        par_map(&cells, threads, execute_service)
+            .into_iter()
+            .unzip();
+    let report = ServiceReport::build(&matrix.name, cells.into_iter().zip(records).collect());
     (report, started.elapsed(), timings)
 }
 

@@ -13,6 +13,10 @@
 //!    refused on *both* spellings, with the same named-flag diagnostic —
 //!    the synonym path must not let a refused flag slip through as
 //!    silently ignored.
+//!
+//! Two refusals that guard against vacuous or mislabelled sweeps ride
+//! along: an empty `--seeds` range on every subcommand, and the
+//! custom-matrix flags next to `lab run --suite`.
 
 use std::process::{Command, Output};
 
@@ -173,4 +177,46 @@ fn accepted_flags_still_work_on_the_synonym_path() {
         "{}",
         stdout(&direct)
     );
+}
+
+#[test]
+fn empty_seed_ranges_are_refused_by_every_subcommand() {
+    // A range with no seeds runs no cells: every gate would pass having
+    // checked nothing.
+    for args in [
+        vec![
+            "run",
+            "--protocols",
+            "alg1-auth",
+            "--seeds",
+            "3..3",
+            "--dry-run",
+        ],
+        vec!["service", "--seeds", "3..3", "--dry-run"],
+        vec!["crosscheck", "--seeds", "3..3", "--dry-run"],
+        vec!["mutate", "--seeds", "3..3", "--dry-run"],
+    ] {
+        let out = lab(&args);
+        assert!(!out.status.success(), "{args:?} must be refused");
+        let err = stderr(&out);
+        assert!(
+            err.contains("empty seed range: '3..3'"),
+            "{args:?} must name the empty range; got: {err}"
+        );
+    }
+}
+
+#[test]
+fn suite_runs_refuse_custom_matrix_flags() {
+    // A suite fixes its own axes: `--seeds` would otherwise be silently
+    // ignored and the dry run would still report the suite's 18 cells.
+    let out = lab(&["run", "--suite", "quick", "--seeds", "0..9", "--dry-run"]);
+    assert!(!out.status.success(), "--seeds next to --suite accepted");
+    let err = stderr(&out);
+    assert!(
+        err.contains("--seeds is not available with --suite"),
+        "must name the refused flag; got: {err}"
+    );
+    let out = lab(&["run", "--suite", "quick", "--dry-run"]);
+    assert!(out.status.success(), "{}", stderr(&out));
 }
