@@ -29,5 +29,5 @@ pub mod threshold;
 pub use gf256::Gf256;
 pub use reed_solomon::{ReedSolomon, RsError, Share};
 pub use sha256::{sha256, Digest, Sha256};
-pub use sig::{KeyStore, Signature, Signer};
+pub use sig::{KeyStore, SigCounts, Signature, Signer};
 pub use threshold::{PartialSignature, ThresholdError, ThresholdScheme, ThresholdSignature};

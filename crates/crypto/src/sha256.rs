@@ -132,12 +132,16 @@ impl Sha256 {
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // padding: 0x80, zeros, 64-bit big-endian length
-        self.update([0x80u8]);
-        while self.buffer_len != 56 {
-            self.update([0u8]);
+        // padding: 0x80, zeros, 64-bit big-endian length; a second block
+        // when the length no longer fits after the 0x80 byte
+        let len = self.buffer_len;
+        self.buffer[len] = 0x80;
+        self.buffer[len + 1..].fill(0);
+        if len >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0u8; 64];
         }
-        // write length directly into the buffer (bypassing total_len tracking)
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);

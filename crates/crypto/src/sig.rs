@@ -10,9 +10,23 @@
 //!
 //! This substitutes computational unforgeability with structural
 //! unforgeability — the property actually used by the paper's proofs.
+//!
+//! **Verified-signature memo.** Algorithm 1 re-checks the same `n − t`
+//! proposal signatures on every Quad message it receives, while a run only
+//! ever creates `Θ(n)` distinct signatures. A [`KeyStore`] therefore
+//! remembers every signature that verified, together with the exact bytes
+//! it verified over. The memo is shared by every clone of one key store,
+//! so its scope is whatever shares it: one simulation, or one service cell.
+//! Only successful verifications are stored, and a hit needs a byte-equal
+//! message under the identical [`Signature`] (signer and tag). A hit thus
+//! returns what recomputing the tag returned the first time, for the same
+//! inputs: the memo caches a deterministic function and its soundness does
+//! not rest on the tags being unforgeable. [`KeyStore::counts`] reports the
+//! work it does and saves.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use validity_core::ProcessId;
 
@@ -61,6 +75,30 @@ pub struct KeyStore {
 #[derive(Debug)]
 struct KeyStoreInner {
     secrets: Vec<Digest>,
+    memo: Mutex<Memo>,
+}
+
+/// The verified-signature memo and the work counts kept under its lock.
+#[derive(Debug, Default)]
+struct Memo {
+    /// Every signature that verified, mapped to the bytes it verified over.
+    verified: HashMap<Signature, Box<[u8]>>,
+    counts: SigCounts,
+}
+
+/// Deterministic work counts of one [`KeyStore`] and all its clones.
+///
+/// `tags` counts the SHA-256 tags actually computed: one per
+/// [`Signer::sign`] and one per verification the memo could not answer.
+/// Verifications with an out-of-range signer count in `verifies` only.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct SigCounts {
+    /// [`KeyStore::verify`] calls.
+    pub verifies: u64,
+    /// Tags computed (sign calls plus memo misses).
+    pub tags: u64,
+    /// Verifications answered by the memo.
+    pub memo_hits: u64,
 }
 
 impl KeyStore {
@@ -76,7 +114,10 @@ impl KeyStore {
             })
             .collect();
         KeyStore {
-            inner: Arc::new(KeyStoreInner { secrets }),
+            inner: Arc::new(KeyStoreInner {
+                secrets,
+                memo: Mutex::default(),
+            }),
         }
     }
 
@@ -101,6 +142,20 @@ impl KeyStore {
         }
     }
 
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        // The memo is consistent after every statement, so a panic on
+        // another thread holding the lock leaves nothing to repair.
+        self.inner
+            .memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The work counts so far, summed over every clone of this key store.
+    pub fn counts(&self) -> SigCounts {
+        self.memo().counts
+    }
+
     fn tag(&self, p: ProcessId, msg: &[u8]) -> Digest {
         let mut h = Sha256::new();
         h.update(b"validity-crypto/sig");
@@ -112,8 +167,27 @@ impl KeyStore {
     }
 
     /// Verifies `sig` over `msg` (public operation).
+    ///
+    /// A signature that verified before over byte-equal `msg` is answered
+    /// from the memo (see the module docs); otherwise the tag is recomputed,
+    /// and remembered if it matches.
     pub fn verify(&self, msg: impl AsRef<[u8]>, sig: &Signature) -> bool {
-        sig.signer.index() < self.n() && self.tag(sig.signer, msg.as_ref()) == sig.tag
+        let msg = msg.as_ref();
+        let mut memo = self.memo();
+        memo.counts.verifies += 1;
+        if sig.signer.index() >= self.n() {
+            return false;
+        }
+        if memo.verified.get(sig).is_some_and(|m| **m == *msg) {
+            memo.counts.memo_hits += 1;
+            return true;
+        }
+        memo.counts.tags += 1;
+        let valid = self.tag(sig.signer, msg) == sig.tag;
+        if valid {
+            memo.verified.insert(*sig, msg.into());
+        }
+        valid
     }
 }
 
@@ -132,6 +206,7 @@ impl Signer {
 
     /// Signs `msg` as this process.
     pub fn sign(&self, msg: impl AsRef<[u8]>) -> Signature {
+        self.keystore.memo().counts.tags += 1;
         Signature {
             signer: self.id,
             tag: self.keystore.tag(self.id, msg.as_ref()),
@@ -139,18 +214,25 @@ impl Signer {
     }
 }
 
-/// Serializes a value to bytes for signing by hashing its `Debug` rendering
-/// plus a domain tag. Deterministic within a single build, which is all a
-/// closed simulation needs.
+/// The bytes signed for a message: the `domain` tag, a zero byte, then each
+/// part prefixed by its length as a little-endian `u64`. The length prefixes
+/// make the encoding injective on the list of parts.
 pub fn message_bytes(domain: &str, parts: &[&[u8]]) -> Vec<u8> {
     let mut out = Vec::new();
+    write_message_bytes(&mut out, domain, parts);
+    out
+}
+
+/// Overwrites `out` with [`message_bytes`]`(domain, parts)`, reusing its
+/// allocation.
+pub fn write_message_bytes(out: &mut Vec<u8>, domain: &str, parts: &[&[u8]]) {
+    out.clear();
     out.extend_from_slice(domain.as_bytes());
     out.push(0);
     for p in parts {
         out.extend_from_slice(&(p.len() as u64).to_le_bytes());
         out.extend_from_slice(p);
     }
-    out
 }
 
 /// Convenience: digest of [`message_bytes`].
@@ -161,6 +243,7 @@ pub fn message_digest(domain: &str, parts: &[&[u8]]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sign_verify_roundtrip() {
@@ -209,11 +292,108 @@ mod tests {
     }
 
     #[test]
+    fn memo_hit_needs_a_byte_equal_message() {
+        let ks = KeyStore::new(4, 7);
+        let sig = ks.signer(ProcessId(1)).sign(b"original");
+        assert!(ks.verify(b"original", &sig));
+        assert!(ks.verify(b"original", &sig));
+        assert!(!ks.verify(b"originaL", &sig));
+        assert!(!ks.verify(b"original+", &sig));
+        assert!(!ks.verify(b"", &sig));
+        assert_eq!(
+            ks.counts(),
+            SigCounts {
+                verifies: 5,
+                tags: 1 + 4,
+                memo_hits: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn memo_does_not_carry_a_tag_to_another_signer() {
+        let ks = KeyStore::new(4, 7);
+        let sig = ks.signer(ProcessId(1)).sign(b"m");
+        assert!(ks.verify(b"m", &sig));
+        for p in [0, 2, 3, 4, 99] {
+            let forged = Signature {
+                signer: ProcessId(p),
+                tag: sig.tag,
+            };
+            assert!(!ks.verify(b"m", &forged), "forged as P{p}");
+        }
+        assert!(ks.verify(b"m", &sig));
+    }
+
+    #[test]
+    fn memo_is_scoped_to_one_key_store() {
+        let ks1 = KeyStore::new(4, 1);
+        let sig = ks1.signer(ProcessId(0)).sign(b"m");
+        assert!(ks1.verify(b"m", &sig));
+        // Clones share the memo ...
+        let clone = ks1.clone();
+        assert!(clone.verify(b"m", &sig));
+        assert_eq!(ks1.counts().memo_hits, 1);
+        // ... a key store from another seed shares nothing.
+        let ks2 = KeyStore::new(4, 2);
+        assert!(!ks2.verify(b"m", &sig));
+        assert!(!ks2.verify(b"m", &sig));
+        assert_eq!(ks2.counts().memo_hits, 0);
+    }
+
+    #[test]
+    fn failed_verifications_are_not_cached() {
+        let ks = KeyStore::new(4, 7);
+        let sig = ks.signer(ProcessId(2)).sign(b"m");
+        assert!(!ks.verify(b"x", &sig));
+        assert!(!ks.verify(b"x", &sig));
+        assert_eq!(ks.counts().memo_hits, 0);
+        assert_eq!(ks.counts().tags, 3);
+    }
+
+    proptest! {
+        /// Over random sequences of signs and verifies — genuine, foreign
+        /// (another seed), re-attributed and over other messages — the
+        /// memoized key store answers exactly as a fresh one does.
+        #[test]
+        fn memoized_verify_equals_fresh_verify(
+            seed in 0u64..4,
+            other_seed in 0u64..4,
+            ops in prop::collection::vec(
+                (any::<bool>(), 0u32..4, 0u8..4, any::<usize>(), 0u32..6),
+                1..64,
+            ),
+        ) {
+            let ks = KeyStore::new(4, seed);
+            let foreign = KeyStore::new(4, other_seed);
+            let mut sigs = Vec::new();
+            for (sign, signer, msg, pick, claim) in ops {
+                if sign || sigs.is_empty() {
+                    let from = if msg % 2 == 0 { &ks } else { &foreign };
+                    sigs.push(from.signer(ProcessId(signer)).sign([msg]));
+                    continue;
+                }
+                let mut sig: Signature = sigs[pick % sigs.len()];
+                if claim < 5 {
+                    // Re-attribute the tag, possibly to an unknown signer.
+                    sig.signer = ProcessId(claim);
+                }
+                let fresh = KeyStore::new(4, seed);
+                prop_assert_eq!(ks.verify([msg], &sig), fresh.verify([msg], &sig));
+            }
+        }
+    }
+
+    #[test]
     fn message_bytes_is_injective_on_parts() {
         // Length prefixes prevent concatenation ambiguity.
         let a = message_bytes("d", &[b"ab", b"c"]);
         let b = message_bytes("d", &[b"a", b"bc"]);
         assert_ne!(a, b);
         assert_ne!(message_digest("d1", &[b"x"]), message_digest("d2", &[b"x"]));
+        // A reused buffer is overwritten, not appended to.
+        let mut buf = b"stale bytes".to_vec();
+        write_message_bytes(&mut buf, "d", &[b"ab", b"c"]);
+        assert_eq!(buf, a);
     }
 }

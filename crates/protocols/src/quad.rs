@@ -170,6 +170,22 @@ pub type QuadSink<V, P> = StepSink<QuadMsg<V, P>, QuadDecision<V, P>>;
 /// The VIEW-CHANGE votes a leader collects for one view.
 type ViewChangeVotes<V, P> = Vec<(ProcessId, Option<PreparedCert<V, P>>)>;
 
+/// What a leader drives in one view: the proposed pair and the two digests
+/// its followers' votes sign, hashed once when the proposal goes out.
+struct Driving<V, P> {
+    pair: (V, P),
+    prepare: Digest,
+    commit: Digest,
+}
+
+/// The prepare and commit digests of one view and value.
+struct VoteDigests<V> {
+    view: u64,
+    value: V,
+    prepare: Digest,
+    commit: Digest,
+}
+
 /// One instance of Quad (a composable component).
 pub struct QuadCore<V, P> {
     cfg: QuadConfig<V, P>,
@@ -185,7 +201,10 @@ pub struct QuadCore<V, P> {
     view_changes: HashMap<u64, ViewChangeVotes<V, P>>,
     leader_ready: HashSet<u64>,
     proposed: HashSet<u64>,
-    driving: HashMap<u64, (V, P)>,
+    driving: HashMap<u64, Driving<V, P>>,
+    /// The vote digests hashed last: a view's Propose, Prepared and
+    /// Committed messages all need the same pair.
+    digests: Option<VoteDigests<V>>,
     prepare_partials: HashMap<u64, Vec<PartialSignature>>,
     commit_partials: HashMap<u64, Vec<PartialSignature>>,
     prepared_sent: HashSet<u64>,
@@ -213,6 +232,7 @@ where
             leader_ready: HashSet::new(),
             proposed: HashSet::new(),
             driving: HashMap::new(),
+            digests: None,
             prepare_partials: HashMap::new(),
             commit_partials: HashMap::new(),
             prepared_sent: HashSet::new(),
@@ -258,30 +278,44 @@ where
         view * 2 + 1
     }
 
-    fn prepare_digest(&self, view: u64, value: &V) -> Digest {
+    /// The digest a `phase` vote signs, given `value_hash = sha256(value)`.
+    fn phase_digest(&self, phase: &[u8], view: u64, value_hash: &Digest) -> Digest {
         let mut h = Sha256::new();
         h.update(self.cfg.label.as_bytes());
-        h.update(b"/prepare/");
+        h.update(phase);
         h.update(view.to_le_bytes());
-        h.update(sha256(value.encode()));
+        h.update(value_hash);
         h.finalize()
     }
 
-    fn commit_digest(&self, view: u64, value: &V) -> Digest {
-        let mut h = Sha256::new();
-        h.update(self.cfg.label.as_bytes());
-        h.update(b"/commit/");
-        h.update(view.to_le_bytes());
-        h.update(sha256(value.encode()));
-        h.finalize()
+    /// The `(prepare, commit)` digests of `(view, value)`, re-hashed only
+    /// when the view or value differs from the last call's.
+    fn vote_digests(&mut self, view: u64, value: &V) -> (Digest, Digest) {
+        if let Some(d) = self
+            .digests
+            .as_ref()
+            .filter(|d| d.view == view && d.value == *value)
+        {
+            return (d.prepare, d.commit);
+        }
+        let value_hash = sha256(value.encode());
+        let d = VoteDigests {
+            view,
+            value: value.clone(),
+            prepare: self.phase_digest(b"/prepare/", view, &value_hash),
+            commit: self.phase_digest(b"/commit/", view, &value_hash),
+        };
+        let out = (d.prepare, d.commit);
+        self.digests = Some(d);
+        out
     }
 
-    fn cert_valid(&self, cert: &PreparedCert<V, P>) -> bool {
-        (self.cfg.verify)(&cert.value, &cert.proof)
-            && self
-                .cfg
-                .scheme
-                .verify(&self.prepare_digest(cert.view, &cert.value), &cert.tsig)
+    fn cert_valid(&mut self, cert: &PreparedCert<V, P>) -> bool {
+        if !(self.cfg.verify)(&cert.value, &cert.proof) {
+            return false;
+        }
+        let (prepare, _) = self.vote_digests(cert.view, &cert.value);
+        self.cfg.scheme.verify(&prepare, &cert.tsig)
     }
 
     /// Starts participation (view 1). Call from the parent's `init`.
@@ -361,7 +395,13 @@ where
             },
         };
         self.proposed.insert(view);
-        self.driving.insert(view, (value.clone(), proof.clone()));
+        let (prepare, commit) = self.vote_digests(view, &value);
+        let driving = Driving {
+            pair: (value.clone(), proof.clone()),
+            prepare,
+            commit,
+        };
+        self.driving.insert(view, driving);
         sink.broadcast(QuadMsg::Propose {
             view,
             value,
@@ -434,7 +474,7 @@ where
                 if view > self.view {
                     self.enter_view(view, env, sink);
                 }
-                let digest = self.prepare_digest(view, value);
+                let digest = self.vote_digests(view, value).0;
                 let partial = self.cfg.scheme.partially_sign(&self.cfg.signer, &digest);
                 sink.send(
                     Self::leader(view, env),
@@ -446,10 +486,9 @@ where
                 if Self::leader(view, env) != env.id || self.prepared_sent.contains(&view) {
                     return;
                 }
-                let Some((value, proof)) = self.driving.get(&view).cloned() else {
+                let Some(digest) = self.driving.get(&view).map(|d| d.prepare) else {
                     return;
                 };
-                let digest = self.prepare_digest(view, &value);
                 if !self.cfg.scheme.verify_partial(&digest, partial) {
                     return;
                 }
@@ -467,6 +506,7 @@ where
                     .combine(&digest, partials.iter().copied())
                     .expect("verified distinct partials combine");
                 self.prepared_sent.insert(view);
+                let (value, proof) = self.driving[&view].pair.clone();
                 sink.broadcast(QuadMsg::Prepared(PreparedCert {
                     view,
                     value,
@@ -493,7 +533,7 @@ where
                     self.lock = Some(cert.clone());
                 }
                 if self.voted_commit.insert(view) {
-                    let digest = self.commit_digest(view, &cert.value);
+                    let digest = self.vote_digests(view, &cert.value).1;
                     let partial = self.cfg.scheme.partially_sign(&self.cfg.signer, &digest);
                     sink.send(
                         Self::leader(view, env),
@@ -506,10 +546,9 @@ where
                 if Self::leader(view, env) != env.id || self.committed_sent.contains(&view) {
                     return;
                 }
-                let Some((value, proof)) = self.driving.get(&view).cloned() else {
+                let Some(digest) = self.driving.get(&view).map(|d| d.commit) else {
                     return;
                 };
-                let digest = self.commit_digest(view, &value);
                 if !self.cfg.scheme.verify_partial(&digest, partial) {
                     return;
                 }
@@ -527,6 +566,7 @@ where
                     .combine(&digest, partials.iter().copied())
                     .expect("verified distinct partials combine");
                 self.committed_sent.insert(view);
+                let (value, proof) = self.driving[&view].pair.clone();
                 sink.broadcast(QuadMsg::Committed {
                     view,
                     value,
@@ -549,11 +589,8 @@ where
                 if !(self.cfg.verify)(value, proof) {
                     return;
                 }
-                if !self
-                    .cfg
-                    .scheme
-                    .verify(&self.commit_digest(*view, value), tsig)
-                {
+                let (_, commit) = self.vote_digests(*view, value);
+                if !self.cfg.scheme.verify(&commit, tsig) {
                     return;
                 }
                 self.decided = true;

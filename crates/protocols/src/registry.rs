@@ -52,7 +52,9 @@ use crate::vector_nonauth::{VectorNonAuth, VectorNonAuthMsg};
 /// the simulated PKI and threshold scheme, derived deterministically from
 /// `SystemParams` and a setup seed — identical contexts are reproducible,
 /// and one context can be built once and shared across many machines (and,
-/// in service mode, across many consensus slots).
+/// in service mode, across many consensus slots). Every clone shares one
+/// verified-signature memo (see [`validity_crypto::sig`]), so a signature
+/// one machine verified is not re-hashed when another checks it again.
 #[derive(Clone)]
 pub struct ProtocolContext {
     /// System parameters `(n, t)`.

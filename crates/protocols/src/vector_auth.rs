@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use validity_core::{InputConfig, ProcessId, SystemParams, Value};
+use validity_crypto::sig::write_message_bytes;
 use validity_crypto::{KeyStore, Signature, Signer};
 use validity_simnet::{Env, Machine, Message, Step, StepSink};
 
@@ -51,9 +52,12 @@ impl<V: Words> Words for VectorProof<V> {
     }
 }
 
+/// Domain separation of the proposal signatures.
+const PROPOSAL_DOMAIN: &str = "validity/alg1/proposal";
+
 /// Domain-separated bytes signed for a proposal of `v`.
 pub fn proposal_sign_bytes<V: Codec>(v: &V) -> Vec<u8> {
-    validity_crypto::sig::message_bytes("validity/alg1/proposal", &[&v.encode()])
+    validity_crypto::sig::message_bytes(PROPOSAL_DOMAIN, &[&v.encode()])
 }
 
 /// The scratch sink of the embedded Quad instance, before the Algorithm-1
@@ -72,12 +76,16 @@ where
         if vector.params() != params || vector.len() != params.quorum() {
             return false;
         }
+        // `proposal_sign_bytes(v)`, built in two buffers reused across pairs.
+        let (mut encoded, mut signed) = (Vec::new(), Vec::new());
         vector.pairs().all(|(p, v)| {
             proof.iter().any(|sp| {
-                sp.from == p
-                    && sp.sig.signer() == p
-                    && &sp.value == v
-                    && keystore.verify(proposal_sign_bytes(v), &sp.sig)
+                sp.from == p && sp.sig.signer() == p && &sp.value == v && {
+                    encoded.clear();
+                    v.encode_into(&mut encoded);
+                    write_message_bytes(&mut signed, PROPOSAL_DOMAIN, &[&encoded]);
+                    keystore.verify(&signed, &sp.sig)
+                }
             })
         })
     })
