@@ -1008,9 +1008,11 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    let triples = matrix.classifier_inputs().len();
     if rest.contains(&"--dry-run") {
         println!(
-            "{}: {} cells ({} engine column(s) + classifier; seeds {:?})",
+            "{}: {} cells ({} engine column(s) + classifier over {triples} (property, n, t); \
+             seeds {:?})",
             matrix.name,
             matrix.len(),
             matrix.engines.len(),
@@ -1019,13 +1021,14 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     eprintln!(
-        "crosscheck '{}': {} cells × {} engine(s) on {} worker thread(s)...",
+        "crosscheck '{}': {} cells × {} engine(s) + classifier over {triples} (property, n, t) \
+         on {} worker thread(s)...",
         matrix.name,
         matrix.len(),
         matrix.engines.len(),
         worker_count(threads),
     );
-    let (report, wall, timings) = run_crosscheck(&matrix, threads);
+    let (report, wall, (classify_wall, timings)) = run_crosscheck(&matrix, threads);
     let full = report.count(AgreementLevel::Full);
     let expected = report.count(AgreementLevel::ExpectedDivergence);
     let disagreements = report.disagreements();
@@ -1046,6 +1049,13 @@ fn crosscheck_cmd(rest: &[&str]) -> ExitCode {
         markdown.push('\n');
         markdown.push_str(&cell_timing_markdown(
             report.cells.iter().map(|c| c.key.as_str()).zip(timings),
+        ));
+        // The cells grade against verdicts decided before they ran, so
+        // the classifier phase is timed on its own line.
+        markdown.push_str(&format!(
+            "\nClassifier phase: {triples} (property, n, t) decided in {:.3} ms before the cells \
+             ran (not in the cell times above).\n",
+            classify_wall.as_secs_f64() * 1e3
         ));
     }
     let json_path = opt_value(rest, "--json").unwrap_or("lab-crosscheck.json");

@@ -8,8 +8,12 @@
 //! A [`CrosscheckMatrix`] enumerates scenario cells `(property, behavior,
 //! fault, schedule, (n, t), seed)` through the same skeleton as
 //! [`ScenarioMatrix`], runs every registered engine (wrapped in
-//! `Universal`) plus the solvability classifier on each cell, and grades
-//! the outcome with an [`AgreementLevel`]:
+//! `Universal`) on each cell, and grades the outcome against the
+//! solvability classifier with an [`AgreementLevel`]. The classifier's
+//! verdict depends only on `(property, n, t)` and the reference domain, so
+//! it is decided once per distinct in-band triple of the grid
+//! ([`CrosscheckMatrix::classifier_inputs`]) and shared by every cell that
+//! carries it:
 //!
 //! * **full** — every engine ran, told the same story (decided, Agreement
 //!   held, decisions admissible), and the story matches the classifier's
@@ -24,13 +28,14 @@
 //!   ([`Classification::consistent_with_run`]). Every such cell is a
 //!   potential bug and is named individually in the report.
 //!
-//! Cells fan out over the lab's one worker pool,
-//! [`crate::executor::par_map`]: results collect in matrix order, and the
-//! `crosscheck@1` artifact is byte-identical across worker counts. On top of the engine columns, the
-//! two *emitters* are cross-checked too: [`compare_emitted`] re-parses the
-//! JSON and Markdown renderings of the same report and diffs the agreement
-//! levels they claim, so a drifting emitter fails the `lab crosscheck`
-//! gate just like a drifting engine.
+//! The classifier triples, then the cells, fan out over the lab's one
+//! worker pool, [`crate::executor::par_map`]: results collect in matrix
+//! order, and the `crosscheck@1` artifact is byte-identical across worker
+//! counts. On top of the engine columns, the two *emitters* are
+//! cross-checked too: [`compare_emitted`] re-parses the JSON and Markdown
+//! renderings of the same report and diffs the agreement levels they
+//! claim, so a drifting emitter fails the `lab crosscheck` gate just like
+//! a drifting engine.
 //!
 //! [`Applicability`]: validity_protocols::registry::Applicability
 
@@ -263,6 +268,53 @@ impl CrosscheckMatrix {
     pub fn is_empty(&self) -> bool {
         self.cells().is_empty()
     }
+
+    /// The distinct `(property, n, t)` triples of the in-band cells, in
+    /// the order their first cell appears. Over the matrix's reference
+    /// domain these are the classifier's only inputs: one decision per
+    /// triple serves every cell that carries it.
+    pub fn classifier_inputs(&self) -> Vec<(ValiditySpec, usize, usize)> {
+        let mut inputs = Vec::new();
+        for cell in self.cells() {
+            let input = (cell.validity, cell.n, cell.t);
+            if classifier_in_band(cell.n, self.domain) && !inputs.contains(&input) {
+                inputs.push(input);
+            }
+        }
+        inputs
+    }
+}
+
+/// The classifier column of one grid: each of
+/// [`CrosscheckMatrix::classifier_inputs`] decided once, looked up per cell.
+pub(crate) struct ClassifierColumn {
+    inputs: Vec<(ValiditySpec, usize, usize)>,
+    verdicts: Vec<Classification<u64>>,
+}
+
+impl ClassifierColumn {
+    /// Classifies every distinct in-band triple of `matrix` on `threads`
+    /// workers through [`par_map`].
+    pub(crate) fn decide(matrix: &CrosscheckMatrix, threads: usize) -> ClassifierColumn {
+        let inputs = matrix.classifier_inputs();
+        let domain = Domain::range(matrix.domain);
+        let verdicts = par_map(&inputs, threads, |&(validity, n, t)| {
+            let params = SystemParams::new(n, t).expect("matrix enumerated an invalid (n, t)");
+            classify(&validity.property(t), params, &domain)
+        })
+        .into_iter()
+        .map(|(verdict, _)| verdict)
+        .collect();
+        ClassifierColumn { inputs, verdicts }
+    }
+
+    /// The verdict shared by `cell`'s triple (`None` when out of band).
+    pub(crate) fn get(&self, cell: &CrosscheckCell) -> Option<&Classification<u64>> {
+        self.inputs
+            .iter()
+            .position(|&input| input == (cell.validity, cell.n, cell.t))
+            .map(|i| &self.verdicts[i])
+    }
 }
 
 /// What one engine column reported for one cell.
@@ -464,21 +516,15 @@ pub fn grade(
     (AgreementLevel::Full, String::new())
 }
 
-/// Executes one crosscheck cell: the classifier column (when in band)
-/// plus every engine column, graded. Pure function of the cell, so the
-/// worker pool can fan cells out in any order.
+/// Executes one crosscheck cell: every engine column, graded against the
+/// cell's classifier verdict (`None` when out of band). Pure function of
+/// its arguments, so the worker pool can fan cells out in any order.
 pub fn execute_crosscheck(
     cell: &CrosscheckCell,
     engines: &[VectorSpec],
-    domain: u64,
+    classifier: Option<&Classification<u64>>,
     max_steps: Option<u64>,
 ) -> CrosscheckRecord {
-    let classifier: Option<Classification<u64>> = classifier_in_band(cell.n, domain).then(|| {
-        let params =
-            SystemParams::new(cell.n, cell.t).expect("matrix enumerated an invalid (n, t)");
-        let property = cell.validity.property(cell.t);
-        classify(&property, params, &Domain::range(domain))
-    });
     let columns: Vec<EngineColumn> = engines
         .iter()
         .map(|&engine| {
@@ -512,7 +558,7 @@ pub fn execute_crosscheck(
             }
         })
         .collect();
-    let (level, detail) = grade(classifier.as_ref(), &columns);
+    let (level, detail) = grade(classifier, &columns);
     CrosscheckRecord {
         key: cell.key(),
         verdict: classifier.map(|c| c.label().to_string()),
@@ -731,17 +777,26 @@ pub fn compare_emitted(json: &str, md: &str) -> Vec<String> {
 }
 
 /// Runs a crosscheck matrix on `threads` workers (0 = one per core) through
-/// [`par_map`] and collects in matrix order — report bytes are independent
-/// of the worker count, exactly like every other lab artifact. The third
-/// element is each cell's wall time (diagnostic only — never part of the
-/// report), aligned with `report.cells`.
+/// [`par_map`]: first the classifier column, one decision per distinct
+/// in-band triple, then the cells, collected in matrix order — report bytes
+/// are independent of the worker count, exactly like every other lab
+/// artifact. The third element holds the classifier phase's wall time and
+/// each cell's wall time, aligned with `report.cells` (diagnostic only —
+/// never part of the report).
 pub fn run_crosscheck(
     matrix: &CrosscheckMatrix,
     threads: usize,
-) -> (CrosscheckReport, Duration, Vec<Duration>) {
+) -> (CrosscheckReport, Duration, (Duration, Vec<Duration>)) {
     let started = Instant::now();
+    let classifier = ClassifierColumn::decide(matrix, threads);
+    let classify_wall = started.elapsed();
     let (cells, timings) = par_map(&matrix.cells(), threads, |cell| {
-        execute_crosscheck(cell, &matrix.engines, matrix.domain, matrix.max_steps)
+        execute_crosscheck(
+            cell,
+            &matrix.engines,
+            classifier.get(cell),
+            matrix.max_steps,
+        )
     })
     .into_iter()
     .unzip();
@@ -750,7 +805,7 @@ pub fn run_crosscheck(
         engines: matrix.engines.iter().map(|e| e.name()).collect(),
         cells,
     };
-    (report, started.elapsed(), timings)
+    (report, started.elapsed(), (classify_wall, timings))
 }
 
 #[cfg(test)]
@@ -948,6 +1003,42 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert!(!compare_emitted(&json, &dropped).is_empty());
+    }
+
+    #[test]
+    fn shared_verdict_equals_a_fresh_classification_in_every_cell() {
+        let mut m = tiny();
+        m.validities = vec![ValiditySpec::Strong, ValiditySpec::Median];
+        m.behaviors = vec![BehaviorId::Silent, BehaviorId::TwoFaced];
+        m.systems = vec![(4, 1), (7, 2), (16, 5)];
+        assert_eq!(m.classifier_inputs().len(), 4, "(16, 5) is out of band");
+        let (report, _, _) = run_crosscheck(&m, 0);
+        let column = ClassifierColumn::decide(&m, 0);
+        let cells = m.cells();
+        assert_eq!(report.cells.len(), cells.len());
+        for (cell, record) in cells.iter().zip(&report.cells) {
+            assert_eq!(record.key, cell.key());
+            if cell.n == 16 {
+                assert_eq!(record.verdict, None, "{}", record.key);
+                assert!(column.get(cell).is_none(), "{}", record.key);
+                continue;
+            }
+            let params = SystemParams::new(cell.n, cell.t).unwrap();
+            let fresh = classify(
+                &cell.validity.property(cell.t),
+                params,
+                &Domain::range(m.domain),
+            );
+            assert_eq!(
+                record.verdict.as_deref(),
+                Some(fresh.label()),
+                "{}",
+                record.key
+            );
+            // Every in-band label here is "solvable, non-trivial"; the
+            // Λ tables tell the four triples apart.
+            assert_eq!(column.get(cell), Some(&fresh), "{}", record.key);
+        }
     }
 
     /// A deliberately wrong engine: a real Algorithm 1 machine whose

@@ -31,16 +31,16 @@
 //! Every `(cell × column)` run fans out over the lab's one worker pool,
 //! [`crate::executor::par_map`]: results collect in matrix order, and the
 //! `mutate@1` artifact is byte-identical across worker counts. Base
-//! columns are executed once and shared by every mutant's grading.
+//! columns are executed once and shared by every mutant's grading, and so
+//! is the classifier column, decided once per distinct `(property, n, t)`.
 
 use std::time::{Duration, Instant};
 
 use validity_adversary::BehaviorId;
-use validity_core::{classify, Classification, Domain, SystemParams};
 use validity_protocols::{mutant_spec, MutationOp, VectorSpec};
 
 use crate::crosscheck::{
-    classifier_in_band, grade, AgreementLevel, CrosscheckCell, CrosscheckMatrix, EngineColumn,
+    grade, AgreementLevel, ClassifierColumn, CrosscheckCell, CrosscheckMatrix, EngineColumn,
     EngineOutcome, EngineVerdict,
 };
 use crate::executor::par_map;
@@ -415,7 +415,7 @@ fn run_column(cell: &CrosscheckCell, engine: VectorSpec, max_steps: Option<u64>)
 /// Returns the first conviction in cell order, or [`Fate::Survived`].
 fn judge(
     cells: &[CrosscheckCell],
-    classifiers: &[Option<Classification<u64>>],
+    classifier: &ClassifierColumn,
     engine_names: &[&'static str],
     base_runs: &[Vec<ColumnRun>],
     base_index: usize,
@@ -437,7 +437,7 @@ fn judge(
             engine: "mutant",
             outcome: mutant.outcome,
         });
-        let (level, detail) = grade(classifiers[i].as_ref(), &columns);
+        let (level, detail) = grade(classifier.get(cell), &columns);
         if level == AgreementLevel::Disagreement {
             return Fate::Killed {
                 cell: cell.key(),
@@ -505,21 +505,9 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
     let runs: Vec<&[ColumnRun]> = flat.chunks(columns.len()).collect();
     let bases = matrix.grid.engines.len();
     let base_runs: Vec<Vec<ColumnRun>> = runs.iter().map(|row| row[..bases].to_vec()).collect();
-    // Classifier column, once per cell (cheap at grid sizes).
-    let classifiers: Vec<Option<Classification<u64>>> = cells
-        .iter()
-        .map(|cell| {
-            classifier_in_band(cell.n, matrix.grid.domain).then(|| {
-                let params =
-                    SystemParams::new(cell.n, cell.t).expect("matrix enumerated an invalid (n, t)");
-                classify(
-                    &cell.validity.property(cell.t),
-                    params,
-                    &Domain::range(matrix.grid.domain),
-                )
-            })
-        })
-        .collect();
+    // Classifier column: one decision per distinct (property, n, t),
+    // shared by every cell and every mutant's grading.
+    let classifier = ClassifierColumn::decide(&matrix.grid, threads);
     // Baseline: the clean registry must not disagree with itself.
     let mut false_kills = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
@@ -531,7 +519,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
                 outcome: run.outcome,
             })
             .collect();
-        let (level, detail) = grade(classifiers[i].as_ref(), &columns);
+        let (level, detail) = grade(classifier.get(cell), &columns);
         if level == AgreementLevel::Disagreement {
             false_kills.push(format!("{}: {detail}", cell.key()));
         }
@@ -549,7 +537,7 @@ pub fn run_mutate(matrix: &MutateMatrix, threads: usize) -> (MutateReport, Durat
                 name: spec.name(),
                 fate: judge(
                     &cells,
-                    &classifiers,
+                    &classifier,
                     &engine_names,
                     &base_runs,
                     e,

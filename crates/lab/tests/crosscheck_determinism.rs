@@ -14,8 +14,10 @@
 //!    change, a grading-rule change, an emitter change — shows up as a
 //!    fingerprint mismatch and must be intentional.
 //!
-//! The golden hashes were recorded when the crosscheck suite was
-//! introduced. Do **not** regenerate them unless a crosscheck-schema or
+//! The suite's golden hashes were recorded when the crosscheck suite was
+//! introduced; the `crosscheck-chaos` grid's were recorded from the report
+//! as it stood before the classifier column was shared per `(property, n,
+//! t)` triple. Do **not** regenerate them unless a crosscheck-schema or
 //! grid change is intentional.
 
 use validity_crypto::sha256;
@@ -27,6 +29,15 @@ const CROSSCHECK_JSON: &str = "b3a8962d15124d980888db423516f66171c09c86c5d5e6f03
 
 /// SHA-256 of the same suite's Markdown rendering.
 const CROSSCHECK_MD: &str = "4849e8c8fb34dab9878112bd9ed15bd24016ddb129bb92b94bbaa5d645d3b656";
+
+/// SHA-256 of the `crosscheck-chaos` grid's JSON rendering (what `lab
+/// crosscheck --chaos --json …` writes).
+const CHAOS_CROSSCHECK_JSON: &str =
+    "4e162f74e393de4395a02af35841f861d6d96f279f486034288c0499adece335";
+
+/// SHA-256 of the same grid's Markdown rendering.
+const CHAOS_CROSSCHECK_MD: &str =
+    "d69e0758c433fa2bb76f955c7b4fd75a73942dc562022ff204c963dce165cf8b";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -70,5 +81,30 @@ fn crosscheck_suite_matches_golden_fingerprint() {
         hex(sha256(report.to_markdown()).as_ref()),
         CROSSCHECK_MD,
         "crosscheck Markdown drifted from its recorded fingerprint"
+    );
+}
+
+#[test]
+fn chaos_crosscheck_is_byte_identical_and_matches_golden_fingerprint() {
+    let matrix = CrosscheckMatrix::chaos();
+    let (one, _, _) = run_crosscheck(&matrix, 1);
+    let (many, _, _) = run_crosscheck(&matrix, 0);
+    assert_eq!(one.to_json(), many.to_json());
+    assert_eq!(one.to_markdown(), many.to_markdown());
+
+    // A faulty network may slow a column down, never split the oracles —
+    // and the grid is not vacuous.
+    assert_eq!(one.count(AgreementLevel::Disagreement), 0);
+    assert!(one.count(AgreementLevel::Full) > 0);
+
+    assert_eq!(
+        hex(sha256(one.to_json()).as_ref()),
+        CHAOS_CROSSCHECK_JSON,
+        "chaos crosscheck JSON drifted from its recorded fingerprint"
+    );
+    assert_eq!(
+        hex(sha256(one.to_markdown()).as_ref()),
+        CHAOS_CROSSCHECK_MD,
+        "chaos crosscheck Markdown drifted from its recorded fingerprint"
     );
 }
